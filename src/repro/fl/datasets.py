@@ -60,21 +60,19 @@ class DataGenerator(ABC):
         self, class_counts: dict[int, int], rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw a shuffled dataset with ``class_counts[c]`` samples of class c."""
-        xs: list[np.ndarray] = []
-        ys: list[np.ndarray] = []
-        for cls, count in sorted(class_counts.items()):
+        for cls in class_counts:
             if not (0 <= cls < self.n_classes):
                 raise ValueError(f"class {cls} outside [0, {self.n_classes})")
-            if count <= 0:
-                continue
-            xs.append(self.sample(cls, count, rng))
-            ys.append(np.full(count, cls, dtype=np.int64))
-        if not xs:
-            empty_x = np.empty((0, *self.input_shape), dtype=self._dtype())
-            return empty_x, np.empty(0, dtype=np.int64)
-        x = np.concatenate(xs, axis=0)
-        y = np.concatenate(ys, axis=0)
-        order = rng.permutation(x.shape[0])
+        drawn = [(cls, n) for cls, n in sorted(class_counts.items()) if n > 0]
+        total = sum(n for _, n in drawn)
+        x = np.empty((total, *self.input_shape), dtype=self._dtype())
+        y = np.empty(total, dtype=np.int64)
+        start = 0
+        for cls, n in drawn:
+            x[start : start + n] = self.sample(cls, n, rng)
+            y[start : start + n] = cls
+            start += n
+        order = rng.permutation(total)
         return x[order], y[order]
 
     def test_set(self, n_per_class: int, rng: np.random.Generator):
@@ -133,10 +131,17 @@ class SyntheticImageGenerator(DataGenerator):
     """Procedural image classes built from smooth random prototype fields.
 
     Each (class, mode, channel) triple owns a Gaussian-filtered noise field
-    normalised to zero mean / unit variance.  A sample rolls the field by a
-    random shift, adds white noise and (for colour tasks) channel jitter.
-    Convolutional models exploit the spatially-local structure, so the CNN >
-    MLP ordering of the original datasets is preserved.
+    normalised to zero mean / unit variance.  A sample is its class's field
+    for a random mode, cyclically shifted by up to ``max_shift`` pixels per
+    axis, scaled per channel by colour jitter (colour tasks only) and
+    corrupted with white noise.  Convolutional models exploit the
+    spatially-local structure, so the CNN > MLP ordering of the original
+    datasets is preserved.
+
+    :meth:`sample` draws from ``rng`` in a fixed order, which the synthesis
+    goldens pin byte for byte: the ``n`` modes, then the ``(n, 2)`` shifts,
+    then an ``(n, channels)`` jitter block (only when ``color_jitter > 0``
+    and ``channels > 1``), then the noise over the whole output.
     """
 
     def __init__(self, spec: ImageSpec, seed: int = 0):
@@ -176,16 +181,20 @@ class SyntheticImageGenerator(DataGenerator):
         if n < 0:
             raise ValueError("n must be non-negative")
         spec = self.spec
-        out = np.empty((n, *self.input_shape))
+        size, ms = spec.size, spec.max_shift
         modes = rng.integers(spec.modes, size=n)
-        shifts = rng.integers(-spec.max_shift, spec.max_shift + 1, size=(n, 2))
-        for i in range(n):
-            img = self._prototypes[class_id, modes[i]]
-            img = np.roll(img, shift=tuple(shifts[i]), axis=(0, 1))
-            if spec.color_jitter > 0.0 and spec.channels > 1:
-                jitter = 1.0 + spec.color_jitter * rng.standard_normal(spec.channels)
-                img = img * jitter
-            out[i] = img
+        shifts = rng.integers(-ms, ms + 1, size=(n, 2))
+        # rolled[k] is the index map of np.roll by k - ms along one axis.
+        # Build every (mode, row shift, column shift) image of the class
+        # once, then take each sample's with one gather of whole images.
+        rolled = (np.arange(size) - np.arange(-ms, ms + 1)[:, None]) % size
+        shifted = self._prototypes[class_id][
+            :, rolled[:, None, :, None], rolled[None, :, None, :]
+        ]
+        out = shifted[modes, shifts[:, 0] + ms, shifts[:, 1] + ms]
+        if spec.color_jitter > 0.0 and spec.channels > 1:
+            jitter = 1.0 + spec.color_jitter * rng.standard_normal((n, spec.channels))
+            out *= jitter[:, None, None, :]
         out += spec.noise_std * rng.standard_normal(out.shape)
         return out
 

@@ -11,6 +11,11 @@ Every layer implements the same tiny contract:
 * ``params`` / ``grads`` are parallel lists of arrays (possibly empty), and
   FedAvg manipulates weights exclusively through them.
 
+:class:`~repro.fl.nn.model.Sequential` clears ``_input_grad`` on its first
+layer, whose ``dL/dx`` nobody reads: ``Dense`` and ``Conv2D`` then fill
+``grads`` and return ``None`` instead of paying for the input gradient.  A
+layer used on its own always returns ``dL/dx``.
+
 Convolutions use im2col/col2im so the heavy lifting is one GEMM per layer —
 the standard trick for acceptable pure-numpy speed.  All layers are
 gradient-checked against central finite differences in the test suite.
@@ -50,6 +55,8 @@ __all__ = [
 
 class Layer(ABC):
     """Base class: a differentiable module with (possibly zero) parameters."""
+
+    _input_grad = True
 
     def __init__(self) -> None:
         self.params: list[np.ndarray] = []
@@ -120,11 +127,13 @@ class Dense(Layer):
         w, b = self.params
         return get_backend().matmul(x, w) + b
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray | None:
         w, _ = self.params
         backend = get_backend()
         self.grads[0][...] = backend.matmul(self._x.T, grad)
         self.grads[1][...] = grad.sum(axis=0)
+        if not self._input_grad:
+            return None
         return backend.matmul(grad, w.T)
 
 
@@ -275,7 +284,7 @@ class Conv2D(Layer):
         out = backend.matmul(cols, kernel) + bias
         return out.reshape(x.shape[0], oh, ow, self.filters)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray | None:
         k, s, p = self.kernel_size, self.stride, self._pad()
         oh, ow = self._out_hw
         g = grad.reshape(-1, self.filters)
@@ -283,6 +292,8 @@ class Conv2D(Layer):
         backend = get_backend()
         self.grads[0][...] = backend.matmul(self._cols.T, g)
         self.grads[1][...] = g.sum(axis=0)
+        if not self._input_grad:
+            return None
         dcols = backend.matmul(g, kernel.T)
         return backend.col2im(dcols, self._x_shape, k, k, s, p, oh, ow)
 
@@ -327,14 +338,15 @@ class MaxPool2D(Layer):
         return flat.max(axis=3)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        n, h, w, c = self._x_shape
         k, s = self.pool_size, self.stride
         oh, ow = self._out_hw
         dx = np.zeros(self._x_shape, dtype=grad.dtype)
-        # Scatter each output gradient back to the argmax position.
-        rows_in_window, cols_in_window = np.divmod(self._argmax, k)
-        n_idx, oh_idx, ow_idx, c_idx = np.indices((n, oh, ow, c))
-        h_idx = oh_idx * s + rows_in_window
-        w_idx = ow_idx * s + cols_in_window
-        np.add.at(dx, (n_idx, h_idx, w_idx, c_idx), grad)
+        # Route each output gradient to its window's argmax: one masked add
+        # per in-window offset t, into the strided view of dx that offset
+        # covers.  Windows that overlap (stride < pool) accumulate.
+        for t in range(k * k):
+            i, j = divmod(t, k)
+            dx[:, i : i + s * (oh - 1) + 1 : s, j : j + s * (ow - 1) + 1 : s] += np.where(
+                self._argmax == t, grad, 0.0
+            )
         return dx

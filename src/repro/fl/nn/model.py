@@ -53,6 +53,9 @@ class Sequential:
         self.optimizer = optimizer if optimizer is not None else SGD()
         self.rng = rng if rng is not None else np.random.default_rng()
         self.layers: list[Layer] = layer_factory()
+        if self.layers:
+            # The model's input gradient is never used; skip computing it.
+            self.layers[0]._input_grad = False
         shape = self.input_shape
         for layer in self.layers:
             shape = layer.build(shape, self.rng)

@@ -209,3 +209,24 @@ class TestMaxPool2D:
         layer.forward(x)
         gx = layer.backward(np.ones((1, 1, 1, 1)))
         np.testing.assert_allclose(gx[0, :, :, 0], [[0.0, 1.0], [0.0, 0.0]])
+
+    def test_overlapping_input_gradient(self, rng):
+        # Windows share inputs, so one input can collect several gradients.
+        x = rng.standard_normal((2, 7, 7, 3))
+        assert input_gradient_error(MaxPool2D(3, stride=1), x, rng) < 1e-6
+
+    @pytest.mark.parametrize("pool, stride", [(2, None), (3, None), (2, 3)])
+    def test_backward_matches_scatter_bitwise(self, rng, pool, stride):
+        """Disjoint windows: bytes equal an np.add.at scatter to the argmax."""
+        layer = MaxPool2D(pool, stride)
+        x = np.maximum(rng.standard_normal((3, 9, 9, 4)), 0.0)  # ReLU ties
+        layer.build(x.shape[1:], rng)
+        y = layer.forward(x)
+        grad = rng.standard_normal(y.shape)
+        grad[0, 0, 0] = -0.0
+        k, s = layer.pool_size, layer.stride
+        want = np.zeros_like(x)
+        rows, cols = np.divmod(layer._argmax, k)
+        n_idx, oh_idx, ow_idx, c_idx = np.indices(y.shape)
+        np.add.at(want, (n_idx, oh_idx * s + rows, ow_idx * s + cols, c_idx), grad)
+        assert layer.backward(grad).tobytes() == want.tobytes()

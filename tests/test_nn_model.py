@@ -5,8 +5,10 @@ import pytest
 
 from repro.fl.nn import (
     SGD,
+    Conv2D,
     Dense,
     Flatten,
+    MaxPool2D,
     ReLU,
     Sequential,
 )
@@ -67,6 +69,33 @@ class TestTraining:
         loss, acc = model.evaluate(x, y)
         assert loss > 0.0
         assert 0.0 <= acc <= 1.0
+
+
+class TestFirstLayerInputGradient:
+    @staticmethod
+    def cnn_factory():
+        return [Conv2D(3, 3), ReLU(), MaxPool2D(2), Flatten(), Dense(2)]
+
+    def test_first_layer_returns_no_input_gradient(self, rng):
+        model = Sequential(self.cnn_factory, (6, 6, 1), rng=rng)
+        model.forward(rng.standard_normal((4, 6, 6, 1)), training=True)
+        assert model.layers[0].backward(np.ones((4, 4, 4, 3))) is None
+
+    @pytest.mark.parametrize("factory", ["cnn", "mlp"])
+    def test_skipping_it_leaves_training_bitwise(self, factory):
+        make = self.cnn_factory if factory == "cnn" else mlp_factory
+        shape = (6, 6, 1) if factory == "cnn" else (4,)
+        models = [
+            Sequential(make, shape, optimizer=SGD(0.1), rng=np.random.default_rng(3))
+            for _ in range(2)
+        ]
+        models[1].layers[0]._input_grad = True  # the full backward pass
+        data = np.random.default_rng(4)
+        x, y = data.standard_normal((8, *shape)), data.integers(2, size=8)
+        losses = [[m.train_batch(x, y) for _ in range(3)] for m in models]
+        assert losses[0] == losses[1]
+        for a, b in zip(models[0].get_weights(), models[1].get_weights()):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestWeightInterface:
