@@ -22,8 +22,8 @@ Subpackages
     :class:`~repro.api.FMoreEngine` façade (solver caching, batched
     bid collection).
 ``repro.sim``
-    Experiment harness: configs, multi-seed runners and report tables that
-    regenerate every figure of the paper's evaluation.
+    Experiment harness helpers: named seed streams, seed averaging and the
+    report tables that regenerate every figure of the paper's evaluation.
 ``repro.analysis``
     Equilibrium analytics (profit vs N/K, payment/score sweeps) and
     convergence summaries (rounds-to-accuracy, speedups).

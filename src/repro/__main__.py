@@ -171,25 +171,24 @@ def _cmd_compare(
 ) -> int:
     from .analysis import summarize_schemes
     from .api import FMoreEngine, Scenario
-    from .sim import preset
     from .sim.reporting import ascii_table, series_table
 
     schemes = _parse_schemes(schemes_raw)
-    cfg = preset("bench", dataset)
-    if rounds is not None:
-        cfg = cfg.with_(n_rounds=rounds)
-    scenario = Scenario.from_config(cfg, schemes=schemes, seeds=(seed,))
-    if policy_args:
-        try:
+    overrides = {} if rounds is None else {"n_rounds": rounds}
+    try:
+        scenario = Scenario.from_preset(
+            "bench", dataset, schemes=schemes, seeds=(seed,), **overrides
+        )
+        if policy_args:
             scenario = scenario.with_overrides(_policy_overrides(policy_args))
-        except (ValueError, TypeError) as exc:
-            raise SystemExit(f"error: {exc}")
+    except (ValueError, TypeError) as exc:
+        raise SystemExit(f"error: {exc}")
     results = FMoreEngine().run(scenario).comparison()
     print(
         series_table(
             f"accuracy per round ({dataset})",
             "round",
-            list(range(1, cfg.n_rounds + 1)),
+            list(range(1, scenario.n_rounds + 1)),
             {s: [round(a, 3) for a in h.accuracies] for s, h in results.items()},
         )
     )

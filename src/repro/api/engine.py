@@ -66,6 +66,7 @@ from ..mec.cluster import (
 from ..mec.node import EdgeNode
 from ..mec.resources import ResourceProfile, UniformAvailabilityDynamics
 from ..sim.rng import rng_from, rng_state, set_rng_state
+from ..sim.runner import average_histories
 from ..strategic.policies import build_bid_policies
 from .executor import Executor, SerialExecutor
 from .scenario import SCHEME_NAMES, Scenario
@@ -132,9 +133,9 @@ class Federation:
 def _stream_names(scenario: Scenario) -> dict[str, str]:
     """Named seed streams per variant.
 
-    The cluster labels reproduce the ones the legacy
-    ``sim.cluster_experiment`` assembly used, so engine-driven testbed
-    runs are bitwise-identical to historical results.
+    The cluster labels are the ones the historical hand-assembled testbed
+    loop used, so engine-driven testbed runs are bitwise-identical to
+    historical results.
     """
     if scenario.variant == "cluster":
         return {
@@ -845,8 +846,6 @@ class RunResult:
 
     def averaged(self) -> dict[str, dict[str, Any]]:
         """Seed-averaged accuracy/loss/time series per scheme."""
-        from ..sim.runner import average_histories
-
         return {s: average_histories(h) for s, h in self.histories.items()}
 
     def metrics(self) -> "Any":

@@ -277,8 +277,8 @@ def make_generator(
 ) -> DataGenerator:
     """Factory for the four paper datasets by name.
 
-    ``image_size`` overrides the preset resolution (the ``paper`` preset in
-    :mod:`repro.sim.config` asks for larger images; benches use the default
+    ``image_size`` overrides the preset resolution (the ``paper`` scenario
+    preset asks for 28x28 MNIST images; benches use the default
     compact resolution for speed — the learning dynamics are unchanged).
     """
     if name in IMAGE_PRESETS:

@@ -1,26 +1,20 @@
-"""Experiment harness: configs, multi-seed runners, reporting.
+"""Experiment harness helpers: named seed streams, series averaging, report
+tables.
 
-The legacy ``ExperimentConfig`` builder shims (``repro.sim.experiment``)
-have been removed — assembly lives in the registry-driven
-:mod:`repro.api` (``Scenario`` + ``FMoreEngine``); this package keeps the
-config presets, the multi-seed averaging helpers, the named-seed-stream
-utilities and the ASCII reporting the benches print.
+Experiments are specified as :class:`repro.api.Scenario` values (named
+presets via :meth:`~repro.api.Scenario.from_preset`) and run by
+:class:`repro.api.FMoreEngine`; this package keeps the named-seed-stream
+utilities every cell draws from, the seed-averaging helpers and the ASCII
+reporting the benches print.
 """
 
-from .config import PRESET_NAMES, AuctionConfig, ExperimentConfig, preset
 from .reporting import ascii_table, fmt, paper_vs_measured, series_table
 from .rng import rng_from, rng_state, set_rng_state, spawn_rngs
-from .runner import SeriesStats, average_histories, averaged_comparison, run_seeds
+from .runner import SeriesStats, average_histories
 
 __all__ = [
-    "AuctionConfig",
-    "ExperimentConfig",
-    "preset",
-    "PRESET_NAMES",
     "SeriesStats",
     "average_histories",
-    "run_seeds",
-    "averaged_comparison",
     "ascii_table",
     "series_table",
     "paper_vs_measured",

@@ -1,8 +1,8 @@
-"""Multi-seed experiment running and series averaging.
+"""Series averaging across seeds.
 
 "All the results are the average of five experiments" (Section V-A); this
-module runs a configuration over several seeds and averages the per-round
-series, exposing mean and standard deviation for each curve.
+module averages the per-round series of repeated runs, exposing mean and
+standard deviation for each curve (see :meth:`repro.api.RunResult.averaged`).
 """
 
 from __future__ import annotations
@@ -11,12 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..api.engine import FMoreEngine
-from ..api.scenario import Scenario
 from ..fl.trainer import TrainingHistory
-from .config import ExperimentConfig
 
-__all__ = ["SeriesStats", "average_histories", "run_seeds", "averaged_comparison"]
+__all__ = ["SeriesStats", "average_histories"]
 
 
 @dataclass
@@ -51,53 +48,3 @@ def average_histories(histories: list[TrainingHistory]) -> dict[str, SeriesStats
         data = _stack(histories, attr)
         out[key] = SeriesStats(mean=data.mean(axis=0), std=data.std(axis=0))
     return out
-
-
-def run_seeds(
-    cfg: ExperimentConfig,
-    schemes: tuple[str, ...],
-    seeds: tuple[int, ...],
-    timer=None,
-    executor: str = "serial",
-    max_workers: int | None = None,
-    policies: dict | None = None,
-    store=None,
-) -> dict[str, list[TrainingHistory]]:
-    """Run all schemes across seeds, grouped by scheme.
-
-    One :class:`~repro.api.FMoreEngine` drives the whole plan, so the
-    equilibrium strategy tables of the (seed-independent) advertised game
-    are built exactly once and reused by every seed.  ``executor`` /
-    ``max_workers`` populate the scenario's ``execution`` spec — the
-    ``(scheme, seed)`` cells are embarrassingly parallel, and every
-    executor returns bitwise-identical histories.  ``policies`` (a
-    Scenario round-policy spec, see :mod:`repro.core.policies`) installs a
-    per-round policy pipeline on the auction schemes.  ``store`` (an
-    :class:`~repro.api.ExperimentStore` or root path) makes the sweep
-    durable and incremental — completed ``(scheme, seed)`` cells are
-    loaded from their manifests instead of re-run, so growing ``seeds``
-    only computes the new cells.
-    """
-    engine = FMoreEngine(timer=timer)
-    scenario = Scenario.from_config(cfg, schemes=tuple(schemes), seeds=tuple(seeds))
-    scenario = scenario.with_(
-        execution={"executor": executor, "max_workers": max_workers}
-    )
-    if policies is not None:
-        scenario = scenario.with_(policies=policies)
-    return engine.run(scenario, store=store).histories
-
-
-def averaged_comparison(
-    cfg: ExperimentConfig,
-    schemes: tuple[str, ...],
-    seeds: tuple[int, ...],
-    timer=None,
-    executor: str = "serial",
-    max_workers: int | None = None,
-) -> dict[str, dict[str, SeriesStats]]:
-    """Seed-averaged accuracy/loss/time series for each scheme."""
-    grouped = run_seeds(
-        cfg, schemes, seeds, timer=timer, executor=executor, max_workers=max_workers
-    )
-    return {scheme: average_histories(h) for scheme, h in grouped.items()}

@@ -114,29 +114,22 @@ class TestScenario:
         assert isinstance(again.seeds, tuple)
         assert again == scenario
 
-    def test_from_preset_matches_from_config(self):
-        from repro.sim import preset
-
-        assert Scenario.from_preset("smoke", "mnist_f") == Scenario.from_config(
-            preset("smoke", "mnist_f")
-        )
-
-    def test_config_round_trip(self):
-        from repro.sim import preset
-
-        cfg = preset("bench", "mnist_o")
-        assert Scenario.from_config(cfg).to_config() == cfg
-
-    def test_to_config_rejects_non_canonical_specs(self):
-        scenario = Scenario.from_preset("smoke", "mnist_o").with_(
-            cost={"name": "quadratic", "betas": [1.0, 1.0]}
-        )
-        with pytest.raises(ValueError, match="FMoreEngine"):
-            scenario.to_config()
-
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="warp_speed"):
             Scenario.from_dict({"warp_speed": 9})
+
+    @pytest.mark.parametrize(
+        "lr", [float("nan"), float("inf"), 0.0, -0.1, "nan", None, True]
+    )
+    def test_bad_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="lr must be a finite number"):
+            Scenario(lr=lr)
+
+    def test_unknown_dataset_rejected(self):
+        with pytest.raises(ValueError, match="unknown dataset 'nope'"):
+            Scenario(dataset="nope")
+        with pytest.raises(ValueError, match="unknown dataset 'nope'"):
+            Scenario.from_preset("smoke", "nope")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -207,27 +200,6 @@ def smoke_scenario():
 
 
 class TestEngine:
-    def test_engine_matches_run_seeds_surface(self, smoke_scenario):
-        """The config-based multi-seed runner is a consumer of the engine."""
-        from repro.sim import preset
-        from repro.sim.runner import run_seeds
-
-        result = FMoreEngine().run(smoke_scenario)
-        grouped = run_seeds(
-            preset("smoke", "mnist_o"), ("FMore", "RandFL", "FixFL"), (0,)
-        )
-        assert set(grouped) == set(smoke_scenario.schemes)
-        for scheme, histories in grouped.items():
-            mine = result.history(scheme)
-            history = histories[0]
-            assert mine.scheme == history.scheme
-            assert mine.accuracies == history.accuracies
-            assert mine.losses == history.losses
-            assert mine.total_payment == history.total_payment
-            assert [r.winner_ids for r in mine.records] == [
-                r.winner_ids for r in history.records
-            ]
-
     def test_scenario_json_round_trip_same_histories(self, smoke_scenario):
         """A serialized scenario runs to the same result (CLI contract)."""
         scenario = smoke_scenario.with_(schemes=("FMore",), n_rounds=2)
@@ -245,25 +217,6 @@ class TestEngine:
         engine.run(scenario)
         assert engine.cache_misses == 1
         assert engine.cache_hits == 2  # one build, reused by seeds 1 and 2
-
-    def test_run_seeds_builds_grid_once(self, monkeypatch):
-        """The legacy multi-seed runner inherits the cache."""
-        from repro.core import equilibrium
-        from repro.sim import preset
-        from repro.sim.runner import run_seeds
-
-        builds = []
-        original = equilibrium.EquilibriumSolver._build_tables
-
-        def counting(self):
-            builds.append(1)
-            return original(self)
-
-        monkeypatch.setattr(equilibrium.EquilibriumSolver, "_build_tables", counting)
-        cfg = preset("smoke", "mnist_o").with_(n_rounds=1)
-        histories = run_seeds(cfg, ("FMore",), (0, 1, 2))
-        assert len(histories["FMore"]) == 3
-        assert len(builds) == 1
 
     def test_different_game_different_cache_entry(self, smoke_scenario):
         engine = FMoreEngine()

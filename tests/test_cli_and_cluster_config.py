@@ -1,44 +1,152 @@
-"""Tests for the CLI entry point and the cluster experiment config."""
+"""Tests for the CLI entry point and the cluster testbed preset.
+
+:func:`build_cluster_environment` is the historical hand-assembled testbed
+(data, machines, auction, bidding agents), kept here as an independent
+oracle the engine's ``variant="cluster"`` assembly is pinned against.
+"""
+
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from repro.__main__ import main
 from repro.api import FMoreEngine, Scenario
-from repro.sim.cluster_experiment import (
-    ClusterConfig,
-    build_cluster_environment,
-    run_cluster_comparison,
+from repro.core.costs import LinearCost
+from repro.core.equilibrium import EquilibriumSolver
+from repro.core.scoring import AdditiveScore
+from repro.core.valuation import PrivateValueModel, UniformTheta
+from repro.fl.datasets import make_generator
+from repro.fl.partition import heterogeneous_specs, materialize_clients
+from repro.mec.cluster import (
+    SimulatedCluster,
+    build_cluster_specs,
+    cluster_quality_extractor,
 )
+from repro.mec.node import EdgeNode
+from repro.mec.resources import UniformAvailabilityDynamics
+from repro.sim.rng import rng_from
+
+
+@dataclass
+class ClusterEnvironment:
+    """Everything the cluster schemes share."""
+
+    generator: object
+    clients_data: list
+    test_x: np.ndarray
+    test_y: np.ndarray
+    thetas: np.ndarray
+    cluster: SimulatedCluster
+    solver: EquilibriumSolver
+    agents: list
+    max_data_size: int
+    initial_weights: list = field(default_factory=list)
+
+
+def build_cluster_environment(scenario: Scenario, seed: int) -> ClusterEnvironment:
+    """Materialise the testbed by hand: data, machines, auction, agents."""
+    data_rng = rng_from(seed, f"cluster-data-{scenario.name}")
+    theta_rng = rng_from(seed, f"cluster-theta-{scenario.name}")
+    hw_rng = rng_from(seed, f"cluster-hw-{scenario.name}")
+
+    generator = make_generator(scenario.dataset, seed=scenario.data_seed)
+    specs = heterogeneous_specs(
+        scenario.n_clients,
+        generator.n_classes,
+        data_rng,
+        size_range=scenario.size_range,
+        min_classes=scenario.min_classes,
+        max_classes=scenario.max_classes,
+    )
+    clients_data = materialize_clients(generator, specs, data_rng)
+    test_x, test_y = generator.test_set(scenario.test_per_class, data_rng)
+
+    cluster_specs = build_cluster_specs(
+        [c.size for c in clients_data],
+        hw_rng,
+        category_proportions=[c.category_proportion for c in clients_data],
+        core_choices=scenario.core_choices,
+        bandwidth_range_mbps=scenario.bandwidth_range_mbps,
+    )
+    cluster = SimulatedCluster(cluster_specs)
+
+    theta_lo, theta_hi = scenario.theta["lo"], scenario.theta["hi"]
+    model = PrivateValueModel(
+        UniformTheta(theta_lo, theta_hi),
+        n_nodes=scenario.n_clients,
+        k_winners=scenario.k_winners,
+    )
+    solver = EquilibriumSolver(
+        AdditiveScore(tuple(scenario.scoring["weights"])),
+        LinearCost(tuple(scenario.cost["betas"])),
+        model,
+        [[0.0, 1.0]] * 3,
+        grid_size=scenario.grid_size,
+    )
+
+    max_data = scenario.size_range[1]
+    extractor = cluster_quality_extractor(
+        max_cores=max(scenario.core_choices),
+        max_bandwidth_mbps=scenario.bandwidth_range_mbps[1],
+        max_data_size=max_data,
+    )
+    thetas = np.asarray(
+        UniformTheta(theta_lo, theta_hi).sample(theta_rng, scenario.n_clients)
+    )
+    agents = [
+        EdgeNode(
+            node_id=spec.node_id,
+            theta=float(theta),
+            solver=solver,
+            profile=spec.profile,
+            dynamics=UniformAvailabilityDynamics(scenario.availability_min_fraction),
+            quality_extractor=extractor,
+        )
+        for spec, theta in zip(cluster_specs, thetas)
+    ]
+    return ClusterEnvironment(
+        generator,
+        clients_data,
+        test_x,
+        test_y,
+        thetas,
+        cluster,
+        solver,
+        agents,
+        max_data,
+    )
 
 
 class TestClusterConfig:
+    """The Section V-C testbed preset and its validation."""
+
     def test_defaults_match_paper_setup(self):
-        cfg = ClusterConfig()
-        assert cfg.n_nodes == 31          # 32 machines minus the aggregator
-        assert cfg.score_weights == (0.4, 0.3, 0.3)
-        assert cfg.dataset == "cifar10"
+        scenario = Scenario.from_preset("cluster_cifar10")
+        assert scenario.n_clients == 31   # 32 machines minus the aggregator
+        assert scenario.scoring["weights"] == [0.4, 0.3, 0.3]
+        assert scenario.dataset == "cifar10"
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ClusterConfig(n_nodes=5, k_winners=6)
+            Scenario(variant="cluster", n_clients=5, k_winners=6)
         with pytest.raises(ValueError):
-            ClusterConfig(size_range=(0, 10))
+            Scenario(variant="cluster", size_range=(0, 10))
 
 
 class TestClusterEnvironment:
     @pytest.fixture(scope="class")
     def env(self):
-        cfg = ClusterConfig(
-            n_nodes=6, k_winners=2, n_rounds=2, size_range=(30, 80),
-            test_per_class=4, model_width=0.12,
+        scenario = Scenario.from_preset(
+            "cluster_cifar10", n_clients=6, k_winners=2, n_rounds=2,
+            size_range=(30, 80), test_per_class=4, model_width=0.12,
         )
-        return cfg, build_cluster_environment(cfg, seed=0)
+        return scenario, build_cluster_environment(scenario, seed=0)
 
     def test_one_agent_per_client(self, env):
-        cfg, e = env
-        assert len(e.agents) == cfg.n_nodes
-        assert len(e.clients_data) == cfg.n_nodes
+        scenario, e = env
+        assert len(e.agents) == scenario.n_clients
+        assert len(e.clients_data) == scenario.n_clients
         agent_ids = {a.node_id for a in e.agents}
         client_ids = {c.client_id for c in e.clients_data}
         assert agent_ids == client_ids
@@ -55,28 +163,26 @@ class TestClusterEnvironment:
             q = agent.quality_extractor(agent.profile)
             assert np.all(q >= 0.0) and np.all(q <= 1.0)
 
+    TINY = dict(
+        n_clients=4, k_winners=2, n_rounds=1, size_range=(20, 40),
+        test_per_class=2, model_width=0.12,
+    )
+
     def test_unknown_scheme_rejected(self):
-        cfg = ClusterConfig(
-            n_nodes=4, k_winners=2, n_rounds=1, size_range=(20, 40),
-            test_per_class=2, model_width=0.12,
-        )
         with pytest.raises(ValueError):
-            run_cluster_comparison(cfg, ("Oracle",), seed=0)
+            Scenario.from_preset("cluster_cifar10", schemes=("Oracle",), **self.TINY)
 
     def test_fixfl_scheme_supported(self):
-        cfg = ClusterConfig(
-            n_nodes=4, k_winners=2, n_rounds=1, size_range=(20, 40),
-            test_per_class=2, model_width=0.12,
-        )
-        results = run_cluster_comparison(cfg, ("FixFL",), seed=0)
+        scenario = Scenario.from_preset("cluster_cifar10", schemes=("FixFL",), **self.TINY)
+        results = FMoreEngine().run(scenario).comparison()
         assert len(results["FixFL"].records) == 1
 
 
 class TestClusterScenario:
     """The Section V-C testbed as a variant="cluster" Scenario."""
 
-    CFG_KWARGS = dict(
-        n_nodes=6, k_winners=2, n_rounds=2, size_range=(30, 80),
+    SMALL = dict(
+        n_clients=6, k_winners=2, n_rounds=2, size_range=(30, 80),
         test_per_class=4, model_width=0.12, grid_size=65,
     )
 
@@ -95,14 +201,9 @@ class TestClusterScenario:
         with pytest.raises(ValueError, match="cluster_cifar10"):
             Scenario.from_preset("warp")
 
-    def test_cluster_scenario_rejects_legacy_config_projection(self):
-        scenario = Scenario.from_preset("cluster_cifar10")
-        with pytest.raises(ValueError, match="FMoreEngine"):
-            scenario.to_config()
-
     def test_engine_matches_legacy_assembly_bitwise(self):
-        """The lift's acceptance: engine-driven cluster histories equal a
-        manual legacy-style loop over build_cluster_environment."""
+        """Engine-driven cluster histories equal a hand-built loop over
+        build_cluster_environment."""
         from repro.core.auction import MultiDimensionalProcurementAuction
         from repro.core.mechanism import FMoreMechanism
         from repro.fl.client import FLClient
@@ -110,36 +211,37 @@ class TestClusterScenario:
         from repro.fl.selection import AuctionSelection, RandomSelection
         from repro.fl.server import FedAvgServer
         from repro.fl.trainer import FederatedTrainer
-        from repro.sim.rng import rng_from
 
         seed = 1
-        cfg = ClusterConfig(**self.CFG_KWARGS)
-        env = build_cluster_environment(cfg, seed)
+        scenario = Scenario.from_preset("cluster_cifar10", seeds=(seed,), **self.SMALL)
+        env = build_cluster_environment(scenario, seed)
         legacy = {}
         client_ids = [c.client_id for c in env.clients_data]
         max_data = env.max_data_size
         for scheme in ("FMore", "RandFL"):
             global_model = build_model(
-                cfg.dataset,
+                scenario.dataset,
                 env.generator.input_shape,
                 env.generator.n_classes,
                 rng_from(seed, "cluster-model"),
-                width=cfg.model_width,
-                lr=cfg.lr,
+                width=scenario.model_width,
+                lr=scenario.lr,
             )
             if env.initial_weights:
                 global_model.set_weights(env.initial_weights)
             else:
                 env.initial_weights = global_model.get_weights()
             clients = [
-                FLClient(d, local_epochs=cfg.local_epochs, batch_size=cfg.batch_size)
+                FLClient(
+                    d, local_epochs=scenario.local_epochs, batch_size=scenario.batch_size
+                )
                 for d in env.clients_data
             ]
             if scheme == "RandFL":
-                selection = RandomSelection(client_ids, cfg.k_winners)
+                selection = RandomSelection(client_ids, scenario.k_winners)
             else:
                 auction = MultiDimensionalProcurementAuction(
-                    env.solver.quality_rule, cfg.k_winners
+                    env.solver.quality_rule, scenario.k_winners
                 )
                 selection = AuctionSelection(
                     FMoreMechanism(auction),
@@ -155,28 +257,17 @@ class TestClusterScenario:
                 rng_from(seed, f"cluster-train-{scheme}"),
                 timer=env.cluster,
             )
-            legacy[scheme] = trainer.run(cfg.n_rounds)
+            legacy[scheme] = trainer.run(scenario.n_rounds)
 
-        from repro.api import FMoreEngine, Scenario as S
-
-        scenario = S.from_cluster_config(cfg, schemes=("FMore", "RandFL"), seeds=(seed,))
         mine = FMoreEngine().run(scenario).comparison()
         for scheme, reference in legacy.items():
             assert mine[scheme].records == reference.records
             assert mine[scheme].cumulative_seconds == reference.cumulative_seconds
 
-    def test_run_cluster_comparison_delegates_to_engine(self):
-        cfg = ClusterConfig(**self.CFG_KWARGS)
-        shim = run_cluster_comparison(cfg, ("FMore", "RandFL"), seed=1)
-        scenario = Scenario.from_cluster_config(cfg, schemes=("FMore", "RandFL"), seeds=(1,))
-        direct = FMoreEngine().run(scenario).comparison()
-        for scheme in shim:
-            assert shim[scheme].records == direct[scheme].records
-
     def test_cluster_timer_comes_from_federation(self):
         from repro.api import build_federation
 
-        scenario = Scenario.from_cluster_config(ClusterConfig(**self.CFG_KWARGS))
+        scenario = Scenario.from_preset("cluster_cifar10", **self.SMALL)
         federation = build_federation(scenario, 0)
         assert federation.cluster is not None
         assert len(federation.cluster_specs) == scenario.n_clients
@@ -186,9 +277,7 @@ class TestClusterScenario:
     def test_cluster_needs_three_scoring_dimensions(self):
         from repro.api import build_agents, build_federation, build_solver
 
-        scenario = Scenario.from_cluster_config(
-            ClusterConfig(**self.CFG_KWARGS)
-        ).with_(
+        scenario = Scenario.from_preset("cluster_cifar10", **self.SMALL).with_(
             scoring={"name": "additive", "weights": [0.5, 0.5]},
             cost={"name": "linear", "betas": [0.25, 0.25]},
         )
@@ -212,3 +301,17 @@ class TestCLI:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["dance"])
+
+    @pytest.mark.parametrize(
+        "override",
+        ["lr=NaN", "lr=nan", "lr=inf", "lr=0", "lr=-0.1", "dataset=nope"],
+    )
+    def test_bad_lr_or_dataset_is_a_one_line_error(self, override):
+        argv = ["run", "--preset", "smoke", "--set", "n_rounds=1"]
+        argv += ["--set", "schemes=RandFL", "--set", override]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        # A string exit code is printed to stderr and exits with status 1.
+        message = excinfo.value.code
+        assert isinstance(message, str) and message.startswith("error:")
+        assert "\n" not in message

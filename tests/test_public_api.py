@@ -120,19 +120,36 @@ class TestPackageSurface:
 
     @pytest.mark.parametrize(
         "symbol",
-        ["preset", "ExperimentConfig", "run_seeds", "average_histories", "rng_from"],
+        ["SeriesStats", "average_histories", "rng_from", "series_table"],
     )
     def test_sim_exports(self, symbol):
         sim = importlib.import_module("repro.sim")
         assert hasattr(sim, symbol)
 
     def test_experiment_shims_removed(self):
-        """The deprecated builder shims are gone (migrate to repro.api)."""
-        with pytest.raises(ModuleNotFoundError):
-            importlib.import_module("repro.sim.experiment")
+        """The legacy assembly shims and config surface are gone: experiments
+        are Scenario specs (Scenario.from_preset) run through repro.api."""
+        for module in (
+            "repro.sim.experiment",
+            "repro.sim.config",
+            "repro.sim.cluster_experiment",
+        ):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
         sim = importlib.import_module("repro.sim")
-        for legacy in ("run_comparison", "run_scheme", "build_federation"):
+        for legacy in (
+            "run_comparison",
+            "run_scheme",
+            "build_federation",
+            "preset",
+            "ExperimentConfig",
+            "AuctionConfig",
+            "run_seeds",
+            "averaged_comparison",
+        ):
             assert not hasattr(sim, legacy)
+        for bridge in ("from_config", "to_config", "from_cluster_config"):
+            assert not hasattr(importlib.import_module("repro.api").Scenario, bridge)
 
     @pytest.mark.parametrize(
         "symbol",
@@ -191,8 +208,6 @@ class TestDocstrings:
             "repro.api.store",
             "repro.api.metrics",
             "repro.fl.serialize",
-            "repro.sim.config",
-            "repro.sim.cluster_experiment",
             "repro.sim.runner",
             "repro.sim.reporting",
             "repro.analysis.equilibrium_analysis",

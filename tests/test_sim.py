@@ -1,9 +1,9 @@
-"""Tests for the experiment harness: config, rng, reporting, runner."""
+"""Tests for the experiment harness: presets, rng, reporting, runner."""
 
 import numpy as np
 import pytest
 
-from repro.sim.config import AuctionConfig, ExperimentConfig, PRESET_NAMES, preset
+from repro.api import Scenario
 from repro.sim.reporting import ascii_table, fmt, paper_vs_measured, series_table
 from repro.sim.rng import rng_from, spawn_rngs
 from repro.sim.runner import SeriesStats, average_histories
@@ -11,36 +11,40 @@ from repro.fl.trainer import RoundRecord, TrainingHistory
 
 
 class TestConfig:
-    @pytest.mark.parametrize("scale", PRESET_NAMES)
+    @pytest.mark.parametrize("scale", ("smoke", "bench", "paper"))
     @pytest.mark.parametrize("ds", ["mnist_o", "cifar10", "hpnews"])
     def test_presets_construct(self, scale, ds):
-        cfg = preset(scale, ds)
-        assert cfg.dataset == ds
-        assert 1 <= cfg.k_winners <= cfg.n_clients
+        scenario = Scenario.from_preset(scale, ds)
+        assert scenario.dataset == ds
+        assert scenario.name == f"{scale}-{ds}"
+        assert 1 <= scenario.k_winners <= scenario.n_clients
 
     def test_unknown_preset(self):
-        with pytest.raises(ValueError):
-            preset("huge", "mnist_o")
+        with pytest.raises(ValueError, match="unknown preset 'huge'"):
+            Scenario.from_preset("huge", "mnist_o")
 
     def test_with_creates_modified_copy(self):
-        cfg = preset("smoke")
-        cfg2 = cfg.with_(n_rounds=7)
-        assert cfg2.n_rounds == 7
-        assert cfg.n_rounds != 7 or cfg.n_rounds == cfg2.n_rounds  # original intact
+        scenario = Scenario.from_preset("smoke")
+        changed = scenario.with_(n_rounds=7)
+        assert changed.n_rounds == 7
+        assert scenario.n_rounds == 3  # original intact
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(n_clients=1)
+            Scenario(n_clients=1)
         with pytest.raises(ValueError):
-            ExperimentConfig(n_clients=10, k_winners=11)
+            Scenario(n_clients=10, k_winners=11)
         with pytest.raises(ValueError):
-            AuctionConfig(theta_lo=1.0, theta_hi=0.5)
+            Scenario(theta={"name": "uniform", "lo": 1.0, "hi": 0.5})
         with pytest.raises(ValueError):
-            AuctionConfig(psi=1.5)
+            Scenario(psi=1.5)
 
     def test_dataset_lr_calibration(self):
-        assert preset("bench", "cifar10").lr < preset("bench", "mnist_o").lr
-        assert preset("bench", "hpnews").lr > preset("bench", "mnist_o").lr
+        def lr(dataset):
+            return Scenario.from_preset("bench", dataset).lr
+
+        assert lr("cifar10") < lr("mnist_o")
+        assert lr("hpnews") > lr("mnist_o")
 
 
 class TestRng:
